@@ -605,6 +605,16 @@ impl MsgTracer {
         all
     }
 
+    /// Visit every buffered event in place, without copying or sorting:
+    /// rings in node order, each oldest first. The tracer's lock is held
+    /// for the whole walk, so `f` must not call back into the tracer.
+    pub(crate) fn for_each_event(&self, mut f: impl FnMut(&TraceEvent)) {
+        let rings = self.inner.rings.lock().expect("tracer poisoned");
+        for ring in rings.values() {
+            ring.events.iter().for_each(&mut f);
+        }
+    }
+
     /// Drain every ring, returning the merged sorted events.
     pub fn take_events(&self) -> Vec<TraceEvent> {
         let mut all: Vec<TraceEvent> = {

@@ -128,24 +128,29 @@ impl Watchdog {
         // the bounded ring is by construction recent enough to judge; once
         // the SEND is evicted the chain is skipped (eviction is
         // oldest-first, so a terminal can never be evicted before its
-        // send).
-        let events = tracer.events();
-        let mut chains: BTreeMap<TraceId, (bool, bool, u64)> = BTreeMap::new();
-        for ev in &events {
-            if ev.trace.is_none() {
-                continue;
+        // send). A chain's newest event is no older than its SEND, so only
+        // chains whose SEND is itself over budget can stall: find those
+        // first (usually none) and aggregate just them, as (closed, newest
+        // end_ns).
+        let mut chains: BTreeMap<TraceId, (bool, u64)> = BTreeMap::new();
+        tracer.for_each_event(|ev| {
+            if !ev.trace.is_none()
+                && ev.stage.as_ref() == stage::SEND
+                && now_ns.saturating_sub(ev.end_ns) > self.cfg.chain_budget_ns
+            {
+                chains.insert(ev.trace, (false, 0));
             }
-            let e = chains.entry(ev.trace).or_insert((false, false, 0));
-            if ev.stage.as_ref() == stage::SEND {
-                e.0 = true;
-            }
-            if is_terminal(ev.stage.as_ref()) {
-                e.1 = true;
-            }
-            e.2 = e.2.max(ev.end_ns);
+        });
+        if !chains.is_empty() {
+            tracer.for_each_event(|ev| {
+                if let Some(e) = chains.get_mut(&ev.trace) {
+                    e.0 |= is_terminal(ev.stage.as_ref());
+                    e.1 = e.1.max(ev.end_ns);
+                }
+            });
         }
-        for (trace, (has_send, closed, last_ns)) in chains {
-            if !has_send || closed {
+        for (trace, (closed, last_ns)) in chains {
+            if closed {
                 continue;
             }
             let age = now_ns.saturating_sub(last_ns);
@@ -218,6 +223,7 @@ impl Watchdog {
 mod tests {
     use super::*;
     use crate::trace::{TraceEvent, TraceLayer};
+    use std::collections::BTreeSet;
 
     fn open_chain(tracer: &MsgTracer, msg: u32, at_ns: u64) {
         let t = TraceId::new(0, msg);
@@ -303,6 +309,142 @@ mod tests {
         assert!(wd.check(1_000_000, &tracer, &ts).is_empty());
         assert_eq!(wd.stalls(), 0);
         assert!(!tracer.has_dumped());
+    }
+
+    #[test]
+    fn chain_with_evicted_send_never_stalls() {
+        let m = Metrics::new();
+        let tracer = MsgTracer::with_capacity(2);
+        let ts = TimeSeries::new();
+        let wd = Watchdog::new(
+            WatchdogConfig {
+                chain_budget_ns: 1_000,
+                pegged_samples: 4,
+                check_every: 1,
+            },
+            &m,
+        );
+        open_chain(&tracer, 2, 0);
+        // Two more node-0 events push the SEND out of the 2-slot ring.
+        for seq in 1..3 {
+            tracer.record(
+                TraceEvent::span(
+                    TraceId::new(0, 2),
+                    0,
+                    TraceLayer::Mcp,
+                    stage::INJECT,
+                    200,
+                    250,
+                )
+                .with_seq(seq),
+            );
+        }
+        assert_eq!(tracer.total_evicted(), 2);
+        assert!(wd.check(1_000_000, &tracer, &ts).is_empty());
+        assert_eq!(wd.stalls(), 0);
+    }
+
+    /// The pre-filter-free algorithm: aggregate every chain in the sorted
+    /// trace copy, flag open ones whose newest event is over budget.
+    fn reference_chain_stalls(
+        now_ns: u64,
+        budget_ns: u64,
+        tracer: &MsgTracer,
+        flagged: &mut BTreeSet<(u32, u32)>,
+    ) -> Vec<Stall> {
+        let mut chains: BTreeMap<TraceId, (bool, bool, u64)> = BTreeMap::new();
+        for ev in &tracer.events() {
+            if ev.trace.is_none() {
+                continue;
+            }
+            let e = chains.entry(ev.trace).or_insert((false, false, 0));
+            e.0 |= ev.stage.as_ref() == stage::SEND;
+            e.1 |= is_terminal(ev.stage.as_ref());
+            e.2 = e.2.max(ev.end_ns);
+        }
+        let mut out = Vec::new();
+        for (trace, (has_send, closed, last_ns)) in chains {
+            let age = now_ns.saturating_sub(last_ns);
+            if has_send
+                && !closed
+                && age > budget_ns
+                && flagged.insert((trace.origin, trace.msg_id))
+            {
+                out.push(Stall::Chain {
+                    origin: trace.origin,
+                    msg_id: trace.msg_id,
+                    age_ns: age,
+                });
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn prefiltered_check_matches_reference_on_random_rings() {
+        let stages = [
+            stage::SEND,
+            stage::INJECT,
+            stage::SEND,
+            stage::POLL_RECV,
+            stage::POLL_SEND,
+            stage::MSG_FAILED,
+            stage::INJECT,
+        ];
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        for round in 0..20 {
+            let m = Metrics::new();
+            // Small rings so evictions drop SENDs of some chains.
+            let tracer = MsgTracer::with_capacity(48);
+            let ts = TimeSeries::new();
+            let budget = 5_000;
+            let wd = Watchdog::new(
+                WatchdogConfig {
+                    chain_budget_ns: budget,
+                    pegged_samples: 4,
+                    check_every: 1,
+                },
+                &m,
+            );
+            let mut flagged = BTreeSet::new();
+            let mut now = 0u64;
+            let mut total = 0;
+            for _ in 0..12 {
+                for _ in 0..30 {
+                    let trace = if next(10) == 0 {
+                        TraceId::NONE
+                    } else {
+                        TraceId::new(next(3) as u32, next(40) as u32)
+                    };
+                    let start = now.saturating_sub(next(20_000));
+                    let st = stages[next(stages.len() as u64) as usize];
+                    let node = next(4) as u32;
+                    tracer.record(TraceEvent::span(
+                        trace,
+                        node,
+                        TraceLayer::Library,
+                        st,
+                        start,
+                        start + next(3_000),
+                    ));
+                }
+                now += next(4_000);
+                let got = wd.check(now, &tracer, &ts);
+                let want = reference_chain_stalls(now, budget, &tracer, &mut flagged);
+                assert_eq!(got, want, "round {round} at t={now}");
+                total += got.len();
+            }
+            assert_eq!(wd.stalls(), flagged.len() as u64);
+            if round == 0 {
+                assert!(total > 0, "the random rings must exercise stalls");
+            }
+        }
     }
 
     #[test]

@@ -4,20 +4,36 @@
 //! API, the MPI ranks, …) is written as ordinary blocking Rust. Each such
 //! process runs on a real OS thread, but the engine enforces that **exactly
 //! one party runs at a time** — either the scheduler or a single actor —
-//! passing a baton through rendezvous channels. Execution is therefore
-//! sequential and fully deterministic even though the code is multi-threaded;
-//! virtual time only advances through the event queue.
+//! passing a one-slot [`Baton`] back and forth with `park`/`unpark`.
+//! Execution is therefore sequential and fully deterministic even though the
+//! code is multi-threaded; virtual time only advances through the event
+//! queue.
 //!
-//! The handshake:
+//! The handshake costs one OS thread switch per direction:
 //!
 //! ```text
-//! scheduler                       actor thread
-//! ---------                       ------------
-//! pop WakeActor(id, gen)
-//! shared.wake_tx.send(Run) ─────► wake_rx.recv() returns, user code runs
-//! shared.yield_rx.recv() ◄─────── (actor parks or finishes)
-//! continue event loop
+//! scheduler                          actor thread
+//! ---------                          ------------
+//! pop WakeActor(id, gen)             park() loop: state ∉ {Run, Shutdown}
+//! state := Run; actor.unpark() ────► sees Run, upgrades its Sim, user code runs
+//! park() loop: state == Run          … user code parks or finishes …
+//!   sees Parked/Done/Panicked ◄───── drops its Sim; state := Parked (or
+//! continue event loop                  Done/Panicked); scheduler.unpark()
 //! ```
+//!
+//! `Idle`, `Run` and `Shutdown` mean the actor side owns the slot; `Parked`,
+//! `Done` and `Panicked` mean the scheduler does. Each side stores with
+//! `Release` and reads with `Acquire`, and re-checks the state in a loop
+//! after `park` returns, because `park` may wake spuriously (a late
+//! `unpark` from an earlier hand-off leaves a token behind).
+//!
+//! A parked actor holds only a weak reference to the engine; it takes a
+//! strong one back when the scheduler (which holds its own for the whole
+//! wake) hands it the baton. Dropping the last [`Sim`] handle therefore
+//! tears the engine down even while actors are parked (unless a parked
+//! actor's own code holds a `Sim` clone): teardown stores `Shutdown`,
+//! unparks each actor, which unwinds out of user code via a quiet
+//! [`ShutdownToken`] panic, and joins its thread.
 //!
 //! Parks are *generational*: every park gets a fresh generation number and a
 //! `WakeActor` event only resumes the actor if the generations match. Stale
@@ -25,12 +41,13 @@
 //! instead of resuming the actor early.
 
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Arc, OnceLock, Weak};
+use std::thread::{JoinHandle, Thread};
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+use parking_lot::Mutex;
 
-use crate::engine::Sim;
+use crate::engine::{Sim, SimInner};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies an actor within one simulation.
@@ -44,16 +61,17 @@ impl ActorId {
     }
 }
 
-/// What the scheduler tells a parked actor thread.
-pub(crate) enum WakeMsg {
-    /// Resume user code.
-    Run,
-    /// The simulation is being torn down; unwind out of user code quietly.
-    Shutdown,
-}
+// Baton states. The first three hand the slot to the actor, the last three
+// to the scheduler.
+const IDLE: u8 = 0;
+const RUN: u8 = 1;
+const SHUTDOWN: u8 = 2;
+const PARKED: u8 = 3;
+const DONE: u8 = 4;
+const PANICKED: u8 = 5;
 
-/// What an actor thread tells the scheduler when handing the baton back.
-pub(crate) enum YieldMsg {
+/// How an actor handed the baton back to the scheduler.
+pub(crate) enum Yielded {
     /// The actor parked (waiting for a timer or a signal).
     Parked,
     /// The actor's body returned normally.
@@ -66,16 +84,76 @@ pub(crate) enum YieldMsg {
 /// Recognized (and swallowed) by the actor runner and the global panic hook.
 pub(crate) struct ShutdownToken;
 
-/// Channel endpoints shared between the scheduler and one actor thread.
-pub(crate) struct ActorShared {
-    pub(crate) wake_tx: Sender<WakeMsg>,
-    pub(crate) yield_rx: Receiver<YieldMsg>,
+/// The one-slot hand-off between the scheduler and one actor thread.
+pub(crate) struct Baton {
+    state: AtomicU8,
+    /// Message of a panicked body, written before `state := Panicked`.
+    panic_msg: Mutex<Option<String>>,
+    /// The actor's thread, set right after it is spawned (before the first
+    /// wake can be dispatched).
+    actor: OnceLock<Thread>,
+}
+
+impl Baton {
+    fn new() -> Self {
+        Baton {
+            state: AtomicU8::new(IDLE),
+            panic_msg: Mutex::new(None),
+            actor: OnceLock::new(),
+        }
+    }
+
+    fn actor(&self) -> &Thread {
+        self.actor.get().expect("actor thread handle not recorded")
+    }
+
+    /// Scheduler side: run the actor until it hands the baton back.
+    pub(crate) fn resume(&self) -> Yielded {
+        self.state.store(RUN, Ordering::Release);
+        self.actor().unpark();
+        loop {
+            match self.state.load(Ordering::Acquire) {
+                PARKED => return Yielded::Parked,
+                DONE => return Yielded::Done,
+                PANICKED => {
+                    let msg = self.panic_msg.lock().take().unwrap_or_default();
+                    return Yielded::Panicked(msg);
+                }
+                _ => std::thread::park(),
+            }
+        }
+    }
+
+    /// Scheduler side, at teardown: make a parked (or never started) actor
+    /// unwind out of user code. The caller joins the thread.
+    pub(crate) fn shutdown(&self) {
+        self.state.store(SHUTDOWN, Ordering::Release);
+        self.actor().unpark();
+    }
+
+    /// Actor side: wait for the scheduler. `true` means run, `false` means
+    /// the engine is being torn down.
+    fn wait_turn(&self) -> bool {
+        loop {
+            match self.state.load(Ordering::Acquire) {
+                RUN => return true,
+                SHUTDOWN => return false,
+                _ => std::thread::park(),
+            }
+        }
+    }
+
+    /// Actor side: give the slot back to the scheduler.
+    fn hand_back(&self, state: u8, scheduler: &Thread) {
+        self.state.store(state, Ordering::Release);
+        scheduler.unpark();
+    }
 }
 
 /// Scheduler-side record of one actor.
 pub(crate) struct ActorRecord {
     pub(crate) name: String,
-    pub(crate) shared: Arc<ActorShared>,
+    pub(crate) baton: Arc<Baton>,
     /// Park generation; a `WakeActor` event must match this to resume.
     pub(crate) gen: u64,
     pub(crate) status: ActorStatus,
@@ -97,17 +175,18 @@ pub(crate) enum ActorStatus {
 /// All blocking operations (`sleep`, [`crate::signal::Signal::wait`]) go
 /// through this context so the engine can keep virtual time consistent.
 pub struct ActorCtx {
-    sim: Sim,
+    /// Strong handle, held only while this actor has the baton.
+    sim: Option<Sim>,
+    weak: Weak<SimInner>,
     id: ActorId,
     name: String,
-    wake_rx: Receiver<WakeMsg>,
-    yield_tx: Sender<YieldMsg>,
+    baton: Arc<Baton>,
 }
 
 impl ActorCtx {
     /// The simulation handle (for scheduling events, reading the clock, …).
     pub fn sim(&self) -> &Sim {
-        &self.sim
+        self.sim.as_ref().expect("actor context used while parked")
     }
 
     /// This actor's id.
@@ -122,7 +201,7 @@ impl ActorCtx {
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.sim.now()
+        self.sim().now()
     }
 
     /// Advance virtual time by `d` — models this process spending `d` of
@@ -132,69 +211,83 @@ impl ActorCtx {
         if d.is_zero() {
             return self.yield_now();
         }
-        let gen = self.sim.next_park_gen(self.id);
-        let id = self.id;
-        self.sim.schedule_wake_in(d, id, gen);
+        let gen = self.sim().next_park_gen(self.id);
+        self.sim().schedule_wake_in(d, self.id, gen);
         self.park();
     }
 
     /// Yield the baton without advancing time: all other events scheduled at
     /// the current instant run before this actor resumes.
     pub fn yield_now(&mut self) {
-        let gen = self.sim.next_park_gen(self.id);
-        let id = self.id;
-        self.sim.schedule_wake_in(SimDuration::ZERO, id, gen);
+        let gen = self.sim().next_park_gen(self.id);
+        self.sim().schedule_wake_in(SimDuration::ZERO, self.id, gen);
         self.park();
     }
 
     /// Park until a matching wakeup. Internal: used by `sleep` and signals,
     /// which must have arranged a wake *before* calling this.
     pub(crate) fn park(&mut self) {
-        self.sim.mark_parked(self.id);
-        // Hand the baton to the scheduler and wait for it back.
-        self.yield_tx
-            .send(YieldMsg::Parked)
-            .expect("engine vanished while actor parked");
-        match self.wake_rx.recv() {
-            Ok(WakeMsg::Run) => {}
-            Ok(WakeMsg::Shutdown) | Err(_) => panic::panic_any(ShutdownToken),
+        self.sim().mark_parked(self.id);
+        self.release(PARKED);
+        if !self.acquire() {
+            panic::panic_any(ShutdownToken);
         }
+    }
+
+    /// Wait for the baton and take a strong engine handle again. `false`
+    /// means the engine is being torn down.
+    fn acquire(&mut self) -> bool {
+        if !self.baton.wait_turn() {
+            return false;
+        }
+        // Run is only ever stored by a scheduler inside `Sim::run`, whose
+        // own handle keeps the engine alive.
+        self.sim = Some(Sim::upgrade(&self.weak).expect("engine gone while actor runs"));
+        true
+    }
+
+    /// Drop the strong engine handle and hand the baton back with `state`.
+    /// The drop is never the last handle: the scheduler holds one for the
+    /// whole wake, which is also why the upgrade (for a body that unwound
+    /// out of `park` without a handle) succeeds.
+    fn release(&mut self, state: u8) {
+        let Some(sim) = self.sim.take().or_else(|| Sim::upgrade(&self.weak)) else {
+            return;
+        };
+        let scheduler = sim.scheduler_thread();
+        drop(sim);
+        self.baton.hand_back(state, &scheduler);
     }
 }
 
 /// Spawn machinery, called from [`Sim::spawn`].
 pub(crate) fn spawn_actor_thread(
-    sim: Sim,
+    sim: &Sim,
     id: ActorId,
     name: String,
     body: Box<dyn FnOnce(&mut ActorCtx) + Send + 'static>,
-) -> (Arc<ActorShared>, JoinHandle<()>) {
-    // Rendezvous channels: the sender blocks until the receiver takes the
-    // message, which is exactly the baton-passing we need.
-    let (wake_tx, wake_rx) = bounded::<WakeMsg>(0);
-    let (yield_tx, yield_rx) = bounded::<YieldMsg>(0);
-    let shared = Arc::new(ActorShared { wake_tx, yield_rx });
-
+) -> (Arc<Baton>, JoinHandle<()>) {
+    let baton = Arc::new(Baton::new());
+    let weak = sim.downgrade();
     let thread_name = format!("sim-actor-{}-{}", id.0, name);
-    let ctx_name = name;
+    let actor_baton = baton.clone();
     let join = std::thread::Builder::new()
         .name(thread_name)
         .spawn(move || {
-            // Wait to be scheduled for the first time.
-            match wake_rx.recv() {
-                Ok(WakeMsg::Run) => {}
-                Ok(WakeMsg::Shutdown) | Err(_) => return,
-            }
             let mut ctx = ActorCtx {
-                sim,
+                sim: None,
+                weak,
                 id,
-                name: ctx_name,
-                wake_rx,
-                yield_tx,
+                name,
+                baton: actor_baton,
             };
+            // Wait to be scheduled for the first time.
+            if !ctx.acquire() {
+                return;
+            }
             let result = panic::catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
-            let msg = match result {
-                Ok(()) => YieldMsg::Done,
+            let state = match result {
+                Ok(()) => DONE,
                 Err(payload) => {
                     if payload.downcast_ref::<ShutdownToken>().is_some() {
                         // Teardown unwind: exit quietly, nobody is listening.
@@ -207,14 +300,18 @@ pub(crate) fn spawn_actor_thread(
                     } else {
                         "<non-string panic payload>".to_string()
                     };
-                    YieldMsg::Panicked(text)
+                    *ctx.baton.panic_msg.lock() = Some(text);
+                    PANICKED
                 }
             };
-            // If the engine is gone this send fails, which is fine.
-            let _ = ctx.yield_tx.send(msg);
+            ctx.release(state);
         })
         .expect("failed to spawn actor thread");
-    (shared, join)
+    baton
+        .actor
+        .set(join.thread().clone())
+        .expect("actor thread handle recorded twice");
+    (baton, join)
 }
 
 /// Install a process-global panic hook that silences [`ShutdownToken`]

@@ -38,13 +38,14 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock, RwLock, Weak};
+use std::thread::Thread;
 
 use parking_lot::Mutex;
 
 use crate::actor::{
     install_quiet_shutdown_hook, spawn_actor_thread, ActorCtx, ActorId, ActorRecord, ActorStatus,
-    WakeMsg, YieldMsg,
+    Yielded,
 };
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -165,6 +166,9 @@ pub(crate) struct SimInner {
     /// still the global minimum.
     batch_pushed_min_ns: AtomicU64,
     running: AtomicBool,
+    /// Thread running the current (or last) `Sim::run`; parking actors
+    /// unpark it. Recorded once per run, since runs may move threads.
+    scheduler: Mutex<Option<Thread>>,
     seed: u64,
     /// Registered poller callbacks, indexed by `PollerId::idx`. Append-only.
     pollers: RwLock<Vec<PollerFn>>,
@@ -282,6 +286,7 @@ impl Sim {
                 horizon_ns: AtomicU64::new(0),
                 batch_pushed_min_ns: AtomicU64::new(u64::MAX),
                 running: AtomicBool::new(false),
+                scheduler: Mutex::new(None),
                 seed,
                 pollers: RwLock::new(Vec::new()),
                 metrics,
@@ -497,10 +502,10 @@ impl Sim {
         let name = name.into();
         let shard = self.resolve_hint(hint);
         let id = ActorId(self.inner.control.lock().actors.len() as u32);
-        let (shared, join) = spawn_actor_thread(self.clone(), id, name.clone(), Box::new(body));
+        let (baton, join) = spawn_actor_thread(self, id, name.clone(), Box::new(body));
         self.inner.control.lock().actors.push(ActorRecord {
             name,
-            shared,
+            baton,
             gen: 0,
             status: ActorStatus::Parked,
             join: Some(join),
@@ -528,6 +533,7 @@ impl Sim {
             "Sim::run called reentrantly"
         );
         let _guard = RunningGuard(&self.inner);
+        *self.inner.scheduler.lock() = Some(std::thread::current());
         if cfg!(feature = "prof") && self.inner.prof.enabled() {
             crate::alloc::set_counting(true);
             let t0 = std::time::Instant::now();
@@ -784,27 +790,23 @@ impl Sim {
                 }
             }
             EventAction::Wake(id, gen) => {
-                let shared = {
+                let baton = {
                     let mut ctl = self.inner.control.lock();
                     let rec = &mut ctl.actors[id.0 as usize];
                     if rec.status == ActorStatus::Parked && rec.gen == gen {
                         rec.status = ActorStatus::Running;
-                        Some(rec.shared.clone())
+                        Some(rec.baton.clone())
                     } else {
                         None // stale wake: the actor moved on or finished
                     }
                 };
-                let Some(shared) = shared else { return };
-                shared
-                    .wake_tx
-                    .send(WakeMsg::Run)
-                    .expect("actor thread died while parked");
-                match shared.yield_rx.recv().expect("actor thread hung up") {
-                    YieldMsg::Parked => {} // status already set by mark_parked
-                    YieldMsg::Done => {
+                let Some(baton) = baton else { return };
+                match baton.resume() {
+                    Yielded::Parked => {} // status already set by mark_parked
+                    Yielded::Done => {
                         self.inner.control.lock().actors[id.0 as usize].status = ActorStatus::Done;
                     }
-                    YieldMsg::Panicked(msg) => {
+                    Yielded::Panicked(msg) => {
                         let name = {
                             let mut ctl = self.inner.control.lock();
                             // Mark done so teardown does not try to shut it down.
@@ -1034,6 +1036,26 @@ impl Sim {
     pub(crate) fn inner(&self) -> &SimInner {
         &self.inner
     }
+
+    /// Weak handle for a parked actor (see [`crate::actor`]).
+    pub(crate) fn downgrade(&self) -> Weak<SimInner> {
+        Arc::downgrade(&self.inner)
+    }
+
+    /// Strong handle back from [`Sim::downgrade`], if the engine is alive.
+    pub(crate) fn upgrade(weak: &Weak<SimInner>) -> Option<Sim> {
+        weak.upgrade().map(|inner| Sim { inner })
+    }
+
+    /// Thread running the current `Sim::run`, which a yielding actor
+    /// unparks.
+    pub(crate) fn scheduler_thread(&self) -> Thread {
+        self.inner
+            .scheduler
+            .lock()
+            .clone()
+            .expect("actor ran outside Sim::run")
+    }
 }
 
 impl Drop for SimInner {
@@ -1042,15 +1064,15 @@ impl Drop for SimInner {
         let mut actors = std::mem::take(&mut self.control.lock().actors);
         for rec in &mut actors {
             if rec.status != ActorStatus::Done {
-                // Actor is blocked in wake_rx.recv(); Shutdown makes it
-                // unwind via ShutdownToken and exit quietly. If the thread is
-                // already gone the send just fails.
-                let _ = rec.shared.wake_tx.send(WakeMsg::Shutdown);
+                // Actor is parked waiting for its turn (or was never
+                // started); Shutdown makes it unwind via ShutdownToken and
+                // exit quietly.
+                rec.baton.shutdown();
             }
             if let Some(join) = rec.join.take() {
-                // A finishing actor can hold the last `Sim` clone (it
-                // signals the scheduler before its closure unwinds), so
-                // this drop may run *on* an actor thread — joining itself
+                // An actor thread can drop the last `Sim` clone after it
+                // handed the baton back (one kept in a thread-local, say),
+                // so this drop may run *on* an actor thread — joining itself
                 // would be EDEADLK. Let such a thread detach instead.
                 if join.thread().id() != std::thread::current().id() {
                     let _ = join.join();
@@ -1218,6 +1240,164 @@ mod tests {
         let sim = Sim::new(1);
         sim.spawn("oops", |_| panic!("boom"));
         sim.run();
+    }
+
+    // ---- baton hand-off tests -----------------------------------------------
+
+    /// 1,000 actors × 50 steps, each step a `yield_now` or a short sleep,
+    /// pinned one per shard index; returns the order the steps ran in.
+    fn baton_storm(shards: usize) -> (Vec<(u64, u32, u32)>, u64) {
+        let sim = Sim::new_with_shards(11, shards);
+        let log = Arc::new(Mutex::new(Vec::with_capacity(50_000)));
+        for i in 0..1_000u32 {
+            let log = log.clone();
+            sim.spawn_pinned(i, format!("a{i}"), move |ctx| {
+                for k in 0..50u32 {
+                    if (i + k) % 3 == 0 {
+                        ctx.yield_now();
+                    } else {
+                        ctx.sleep(SimDuration::from_ns(u64::from((i * 7 + k) % 5 + 1)));
+                    }
+                    log.lock().push((ctx.now().as_ns(), i, k));
+                }
+            });
+        }
+        assert_eq!(sim.run(), RunOutcome::Completed);
+        let l = std::mem::take(&mut *log.lock());
+        (l, sim.events_dispatched())
+    }
+
+    #[test]
+    fn baton_storm_dispatch_log_is_stable_across_reruns_and_shards() {
+        let one = baton_storm(1);
+        assert_eq!(one.0.len(), 50_000, "every step ran");
+        assert_eq!(one, baton_storm(1), "rerun diverged");
+        for shards in [3, 1_000] {
+            assert_eq!(one, baton_storm(shards), "diverged at {shards} shards");
+        }
+    }
+
+    #[test]
+    fn run_resumes_from_a_different_thread() {
+        let sim = Sim::new(1);
+        let ends = Arc::new(Mutex::new(Vec::new()));
+        for who in 0..3u64 {
+            let ends = ends.clone();
+            sim.spawn(format!("w{who}"), move |ctx| {
+                for _ in 0..4 {
+                    ctx.sleep(SimDuration::from_us(10 + who));
+                }
+                ends.lock().push((who, ctx.now().as_ns()));
+            });
+        }
+        assert_eq!(sim.run_until(SimTime::from_ns(25_000)), RunOutcome::Pending);
+        assert!(ends.lock().is_empty(), "nobody finished before the limit");
+        let s2 = sim.clone();
+        let out = std::thread::spawn(move || s2.run())
+            .join()
+            .expect("second run");
+        assert_eq!(out, RunOutcome::Completed);
+        assert_eq!(
+            *ends.lock(),
+            vec![(0, 40_000), (1, 44_000), (2, 48_000)],
+            "actors parked under one scheduler thread resume under another"
+        );
+    }
+
+    #[test]
+    fn actor_panic_propagates_message_and_dumps_flight_recorder() {
+        let sim = Sim::new(1);
+        sim.spawn("oops", |ctx| {
+            ctx.sleep(SimDuration::from_us(1));
+            panic!("boom at {}", ctx.now().as_ns());
+        });
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()));
+        let payload = r.expect_err("actor panic must propagate");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert_eq!(msg, "sim actor 'oops' panicked: boom at 1000");
+        assert!(sim.msg_trace().has_dumped(), "flight recorder dumped");
+        assert_eq!(sim.run(), RunOutcome::Completed, "panicked actor is done");
+    }
+
+    #[test]
+    fn last_sim_clone_dropped_on_an_actor_thread_does_not_self_join() {
+        use std::cell::RefCell;
+        use std::sync::mpsc;
+
+        /// Parked in the actor thread's thread-local storage: holds a `Sim`
+        /// past the actor's hand-back, until the main thread dropped its own.
+        struct Keeper {
+            gate: mpsc::Receiver<()>,
+            sim: Option<Sim>,
+            _done: mpsc::Sender<()>,
+        }
+        impl Drop for Keeper {
+            fn drop(&mut self) {
+                let _ = self.gate.recv();
+                // The last strong handle: `SimInner::drop` runs here, on
+                // the actor thread whose own `JoinHandle` it holds.
+                drop(self.sim.take());
+            }
+        }
+        thread_local! {
+            static KEEP: RefCell<Option<Keeper>> = const { RefCell::new(None) };
+        }
+
+        let sim = Sim::new(1);
+        let (gate_tx, gate_rx) = mpsc::channel();
+        let (done_tx, done_rx) = mpsc::channel::<()>();
+        let keeper = Mutex::new(Some((gate_rx, done_tx)));
+        sim.spawn("keeper", move |ctx| {
+            let (gate, done) = keeper.lock().take().expect("spawned once");
+            ctx.sleep(SimDuration::from_us(1));
+            let sim = Some(ctx.sim().clone());
+            KEEP.with(|k| {
+                *k.borrow_mut() = Some(Keeper {
+                    gate,
+                    sim,
+                    _done: done,
+                })
+            });
+        });
+        assert_eq!(sim.run(), RunOutcome::Completed);
+        let weak = sim.downgrade();
+        drop(sim);
+        assert!(weak.upgrade().is_some(), "the actor thread still holds one");
+        gate_tx.send(()).expect("keeper alive");
+        // The sender is dropped after the `Sim`, so disconnection means the
+        // engine teardown on the actor thread returned.
+        assert!(done_rx.recv().is_err());
+        assert!(weak.upgrade().is_none(), "engine torn down");
+    }
+
+    #[test]
+    fn dropping_sim_with_parked_actors_joins_every_thread() {
+        struct Alive(Arc<AtomicU64>);
+        impl Drop for Alive {
+            fn drop(&mut self) {
+                self.0.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        let sim = Sim::new(1);
+        let alive = Arc::new(AtomicU64::new(0));
+        for i in 0..500 {
+            let alive = alive.clone();
+            sim.spawn(format!("p{i}"), move |ctx| {
+                alive.fetch_add(1, Ordering::SeqCst);
+                let _guard = Alive(alive);
+                ctx.sleep(SimDuration::from_ms(1_000));
+                unreachable!("torn down while parked");
+            });
+        }
+        assert_eq!(sim.run_until(SimTime::from_ns(1_000)), RunOutcome::Pending);
+        assert_eq!(alive.load(Ordering::SeqCst), 500, "every actor parked");
+        drop(sim);
+        // Each thread unwound its stack (dropping its guard) and was joined
+        // before `drop` returned.
+        assert_eq!(alive.load(Ordering::SeqCst), 0);
     }
 
     #[test]

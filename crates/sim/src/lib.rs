@@ -13,8 +13,8 @@
 //!   schedule boxed closures ([`Sim::schedule_in`]).
 //! * **Thread-backed actors** — application processes (the code calling the
 //!   BCL/MPI APIs) run on real OS threads written as ordinary blocking Rust
-//!   ([`Sim::spawn`], [`ActorCtx`]). A baton handshake guarantees exactly one
-//!   party runs at a time, so execution stays deterministic.
+//!   ([`Sim::spawn`], [`ActorCtx`]). A park/unpark baton guarantees exactly
+//!   one party runs at a time, so execution stays deterministic.
 //!
 //! ```
 //! use suca_sim::{Sim, SimDuration, Signal, RunOutcome};
@@ -38,7 +38,6 @@ mod actor;
 mod engine;
 mod rng;
 mod signal;
-mod stats;
 mod telemetry;
 mod time;
 mod trace;
@@ -47,7 +46,6 @@ pub use actor::{ActorCtx, ActorId};
 pub use engine::{EventId, PollerId, RunOutcome, Sim};
 pub use rng::SimRng;
 pub use signal::{Semaphore, Signal};
-pub use stats::{Counters, Samples};
 pub use telemetry::TelemetryConfig;
 pub use time::{SimDuration, SimTime};
 pub use trace::{render_gantt, render_timeline, Span};
