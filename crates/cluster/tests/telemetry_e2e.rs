@@ -226,3 +226,74 @@ fn sram_stays_bounded_while_pinned_pages_grow_with_working_set() {
         "NIC SRAM must not scale with the application working set: {sram_large} vs {sram_small}"
     );
 }
+
+/// Node 0 posts `msgs` system-channel sends back to back while node 1
+/// lets them pile up for 150 µs before draining: the send ring, both
+/// completion queues, the go-back-N window, NIC SRAM, the pin-down table
+/// and every link all move.
+fn burst(spec: ClusterSpec, msgs: u32) -> Cluster {
+    let cluster = spec.build();
+    let sim = cluster.sim.clone();
+    let barrier = SimBarrier::new(&sim, 2);
+    let addr: Arc<Mutex<Option<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
+    {
+        let barrier = barrier.clone();
+        let addr = addr.clone();
+        cluster.spawn_process(1, "rx", move |ctx, env| {
+            let port = env.open_port(ctx);
+            *addr.lock() = Some(port.addr());
+            barrier.wait(ctx);
+            ctx.sleep(SimDuration::from_us(150));
+            for _ in 0..msgs {
+                let ev = port.wait_recv(ctx);
+                port.recv_bytes(ctx, &ev).expect("recv");
+            }
+        });
+    }
+    cluster.spawn_process(0, "tx", move |ctx, env| {
+        let port = env.open_port(ctx);
+        barrier.wait(ctx);
+        let dst = addr.lock().expect("rx ready");
+        for i in 0..msgs {
+            port.send_bytes(ctx, dst, ChannelId::SYSTEM, &vec![i as u8; 2048])
+                .expect("send");
+        }
+        let mut done = 0;
+        while done < msgs {
+            if port.poll_send(ctx).is_some() {
+                done += 1;
+            } else {
+                ctx.sleep(SimDuration::from_us(5));
+            }
+        }
+    });
+    assert_eq!(sim.run(), RunOutcome::Completed, "burst hung");
+    cluster
+}
+
+/// The timeseries JSON of a small fixed-seed cluster run, compared with a
+/// copy committed from an earlier version of the code: reruns and
+/// shard-count comparisons of one build cannot see the sampler or a probe
+/// drifting between versions, this can.
+#[test]
+fn cluster_timeseries_matches_committed_golden() {
+    let c = burst(ClusterSpec::dawning3000(2).with_seed(99), 24);
+    let got = c.sim.timeseries().snapshot().to_json();
+    let want = include_str!("fixtures/burst_timeseries.json");
+    if let Some((i, (g, w))) = got
+        .lines()
+        .zip(want.lines())
+        .enumerate()
+        .find(|(_, (g, w))| g != w)
+    {
+        panic!(
+            "timeseries drifted from the golden at line {}:\n got: {g}\nwant: {w}",
+            i + 1
+        );
+    }
+    assert_eq!(
+        got.len(),
+        want.len(),
+        "timeseries length drifted from the golden"
+    );
+}

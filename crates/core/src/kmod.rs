@@ -14,6 +14,7 @@
 //! where user requests touch the NIC.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -64,6 +65,9 @@ pub struct BclKmod {
     pin_evictions: Counter,
     pio_descriptors: Counter,
     pinned_bytes: Gauge,
+    /// Pin-down table occupancy (pages) for this node's telemetry probes,
+    /// stored wherever the table can change.
+    pinned_pages_level: Arc<AtomicU64>,
     // Interned once so per-send span recording never allocates.
     track_tx: &'static str,
 }
@@ -95,6 +99,7 @@ impl BclKmod {
             pin_evictions: metrics.counter("kmod.pin_evictions"),
             pio_descriptors: metrics.counter("kmod.pio_descriptors"),
             pinned_bytes: metrics.gauge("kmod.pinned_bytes"),
+            pinned_pages_level: Arc::default(),
             os,
         });
         // Telemetry probes: host-resident pin-down table occupancy. This is
@@ -103,17 +108,16 @@ impl BclKmod {
         let sim = kmod.os.sim();
         let ts = sim.timeseries();
         let n = kmod.os.node_id.0;
-        let w = Arc::downgrade(&kmod);
+        let pages = kmod.pinned_pages_level.clone();
         ts.register(
             format!("n{n}.kmod.pinned_pages"),
             n,
             Some(pin_table_pages),
-            move |_| w.upgrade().map_or(0, |k| k.state.lock().pin.len() as u64),
+            move |_| pages.load(Ordering::Relaxed),
         );
-        let w = Arc::downgrade(&kmod);
+        let pages = kmod.pinned_pages_level.clone();
         ts.register(format!("n{n}.kmod.pinned_bytes"), n, None, move |_| {
-            w.upgrade()
-                .map_or(0, |k| k.state.lock().pin.len() as u64 * PAGE_SIZE)
+            pages.load(Ordering::Relaxed) * PAGE_SIZE
         });
         kmod
     }
@@ -137,6 +141,7 @@ impl BclKmod {
     /// gauge. Delta-published: the cell aggregates every node's module.
     fn publish_pin_level(&self, st: &mut KmodState) {
         let cur = st.pin.len() as u64;
+        self.pinned_pages_level.store(cur, Ordering::Relaxed);
         let prev = st.pinned_pages_published;
         if cur > prev {
             self.pinned_bytes.add((cur - prev) * PAGE_SIZE);
@@ -202,7 +207,11 @@ impl BclKmod {
     ) -> Result<Vec<(PhysAddr, u64)>, BclError> {
         let (hit_cost, miss_cost) = {
             let mut st = self.state.lock();
-            let results = st.pin.pin_range(&proc.space, addr, len)?;
+            let results = st.pin.pin_range(&proc.space, addr, len);
+            // A failed pin can still have installed or evicted entries.
+            self.pinned_pages_level
+                .store(st.pin.len() as u64, Ordering::Relaxed);
+            let results = results?;
             let misses = results
                 .iter()
                 .filter(|(_, l)| *l == PinLookup::Miss)

@@ -24,6 +24,7 @@
 //!   path that defines the architecture).
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
@@ -41,7 +42,7 @@ use crate::config::BclConfig;
 use crate::port::{
     ChannelId, ChannelKind, PortId, ProcAddr, RecvDataLoc, RecvEvent, SendEvent, SendStatus,
 };
-use crate::queues::{SystemPool, UserQueues};
+use crate::queues::{CqLevels, SystemPool, UserQueues};
 use crate::reliable::{EpochReceiver, EpochSender, EpochVerdict, GbnVerdict};
 use crate::sg::{read_sg, sg_total, write_sg};
 use crate::wire::{WireHeader, WireKind, HEADER_BYTES};
@@ -169,9 +170,66 @@ struct CollRun {
     inbox: HashMap<(u32, u16, u32), VecDeque<Vec<u8>>>,
 }
 
+/// The send-descriptor ring. Every change stores the new depth into
+/// `depth`, the `mcp.send_queue` telemetry level.
+struct SendQueue {
+    jobs: VecDeque<SendJob>,
+    depth: Arc<AtomicU64>,
+}
+
+impl SendQueue {
+    fn publish(&self) {
+        self.depth.store(self.jobs.len() as u64, Ordering::Relaxed);
+    }
+
+    fn push_back(&mut self, job: SendJob) {
+        self.jobs.push_back(job);
+        self.publish();
+    }
+
+    fn pop_front(&mut self) -> Option<SendJob> {
+        let job = self.jobs.pop_front();
+        self.publish();
+        job
+    }
+
+    fn remove(&mut self, index: usize) -> Option<SendJob> {
+        let job = self.jobs.remove(index);
+        self.publish();
+        job
+    }
+
+    fn take_all(&mut self) -> VecDeque<SendJob> {
+        let jobs = std::mem::take(&mut self.jobs);
+        self.publish();
+        jobs
+    }
+
+    fn len(&self) -> usize {
+        self.jobs.len()
+    }
+
+    fn iter(&self) -> std::collections::vec_deque::Iter<'_, SendJob> {
+        self.jobs.iter()
+    }
+}
+
+/// Occupancy levels the firmware publishes for its telemetry probes (with
+/// [`SendQueue::depth`]), each written where it changes so a sampling tick
+/// is a load, not a walk of the firmware state under its lock. The probes
+/// own clones of these cells, never the firmware.
+#[derive(Default)]
+struct McpLevels {
+    /// Unacked packets summed over every destination's live go-back-N
+    /// stream (each [`EpochSender`] adds its own count).
+    gbn_inflight: Arc<AtomicU64>,
+    /// Completion-queue depths summed over registered ports.
+    cq: Arc<CqLevels>,
+}
+
 struct McpState {
     ports: HashMap<u16, NicPort>,
-    send_queue: VecDeque<SendJob>,
+    send_queue: SendQueue,
     retx: VecDeque<(FabricNodeId, Bytes)>,
     active: Option<ActiveSend>,
     active_gen: u64,
@@ -291,6 +349,7 @@ pub(crate) struct McpInner {
     host_dma: DmaEngine,
     sram: SramPool,
     frag_cap: u64,
+    levels: McpLevels,
     state: Mutex<McpState>,
     rings: Rings,
     pollers: OnceLock<McpPollers>,
@@ -398,6 +457,7 @@ impl Mcp {
         let metrics = sim.metrics();
         let send_ring = cfg.limits.send_ring as u64;
         sram.attach_gauge(metrics.gauge("nic.sram_used"));
+        let send_queue_depth = Arc::new(AtomicU64::new(0));
         let inner = Arc::new(McpInner {
             sim: sim.clone(),
             cfg,
@@ -408,6 +468,7 @@ impl Mcp {
             host_dma,
             sram,
             frag_cap,
+            levels: McpLevels::default(),
             sram_stalls: metrics.counter("bcl.sram_stall"),
             retx_packets: metrics.counter("bcl.retx_packets"),
             completion_dmas: metrics.counter("mcp.completion_dmas"),
@@ -429,7 +490,10 @@ impl Mcp {
             pollers: OnceLock::new(),
             state: Mutex::new(McpState {
                 ports: HashMap::new(),
-                send_queue: VecDeque::new(),
+                send_queue: SendQueue {
+                    jobs: VecDeque::new(),
+                    depth: send_queue_depth.clone(),
+                },
                 retx: VecDeque::new(),
                 active: None,
                 active_gen: 0,
@@ -486,52 +550,28 @@ impl Mcp {
             );
         }
         // Continuous-telemetry probes: NIC-side queue depths and SRAM
-        // occupancy, sampled by the sim-clock telemetry tick. Weak handles
-        // keep the registry from pinning the firmware alive.
+        // occupancy, sampled by the sim-clock telemetry tick. Each reads a
+        // level the firmware publishes as it changes, so the registry
+        // never locks or pins the firmware.
         let ts = sim.timeseries();
         let n = node.0;
-        let w = Arc::downgrade(&inner);
         ts.register(
             format!("n{n}.mcp.send_queue"),
             n,
             Some(send_ring),
-            move |_| {
-                w.upgrade()
-                    .map_or(0, |i| i.state.lock().send_queue.len() as u64)
-            },
+            move |_| send_queue_depth.load(Ordering::Relaxed),
         );
-        let w = Arc::downgrade(&inner);
+        let level = inner.levels.gbn_inflight.clone();
         ts.register(format!("n{n}.mcp.gbn_inflight"), n, None, move |_| {
-            w.upgrade().map_or(0, |i| {
-                i.state
-                    .lock()
-                    .gbn_tx
-                    .values()
-                    .map(|g| g.in_flight() as u64)
-                    .sum()
-            })
+            level.load(Ordering::Relaxed)
         });
-        let w = Arc::downgrade(&inner);
+        let cq = inner.levels.cq.clone();
         ts.register(format!("n{n}.mcp.cq_recv"), n, None, move |_| {
-            w.upgrade().map_or(0, |i| {
-                i.state
-                    .lock()
-                    .ports
-                    .values()
-                    .map(|p| p.queues.depths().0 as u64)
-                    .sum()
-            })
+            cq.recv.load(Ordering::Relaxed)
         });
-        let w = Arc::downgrade(&inner);
+        let cq = inner.levels.cq.clone();
         ts.register(format!("n{n}.mcp.cq_send"), n, None, move |_| {
-            w.upgrade().map_or(0, |i| {
-                i.state
-                    .lock()
-                    .ports
-                    .values()
-                    .map(|p| p.queues.depths().1 as u64)
-                    .sum()
-            })
+            cq.send.load(Ordering::Relaxed)
         });
         let pool = inner.sram.clone();
         ts.register(
@@ -545,6 +585,7 @@ impl Mcp {
 
     /// Kernel module: register a port's host-memory structures on the NIC.
     pub fn register_port(&self, port: PortId, queues: Arc<UserQueues>, pool: Arc<SystemPool>) {
+        queues.attach_levels(self.inner.levels.cq.clone());
         let mut st = self.inner.state.lock();
         let prev = st.ports.insert(
             port.0,
@@ -560,7 +601,9 @@ impl Mcp {
 
     /// Kernel module: tear down a port.
     pub fn unregister_port(&self, port: PortId) {
-        self.inner.state.lock().ports.remove(&port.0);
+        if let Some(p) = self.inner.state.lock().ports.remove(&port.0) {
+            p.queues.detach_levels();
+        }
     }
 
     /// Kernel module: post a receive buffer on a normal channel.
@@ -1086,11 +1129,10 @@ impl McpInner {
                 }
             }
         };
-        let window = self.cfg.reliability.window;
         let window_open = st
             .gbn_tx
             .entry(dst.0)
-            .or_insert_with(|| EpochSender::new(window))
+            .or_insert_with(|| self.new_sender(0))
             .can_send();
         if !window_open {
             // Closed window or an epoch resync in flight; the ack (or the
@@ -1305,7 +1347,7 @@ impl McpInner {
                 self.post_send_event(&st, &a.job, SendStatus::Rejected);
             }
         }
-        let queued: Vec<SendJob> = st.send_queue.drain(..).collect();
+        let queued = st.send_queue.take_all();
         for job in &queued {
             if job.notify_sender {
                 self.post_send_event(&st, job, SendStatus::Rejected);
@@ -1345,13 +1387,12 @@ impl McpInner {
         st.coll_early.clear();
         st.coll_early_total = 0;
         st.retx.clear();
-        let window = self.cfg.reliability.window;
         let old_epochs: Vec<(u32, u16)> =
             st.gbn_tx.iter().map(|(dst, g)| (*dst, g.epoch())).collect();
         st.gbn_tx.clear();
         for (dst, epoch) in old_epochs {
             st.gbn_tx
-                .insert(dst, EpochSender::with_epoch(window, epoch.wrapping_add(1)));
+                .insert(dst, self.new_sender(epoch.wrapping_add(1)));
         }
         st.gbn_rx.clear();
         st.incoming.clear();
@@ -1362,6 +1403,14 @@ impl McpInner {
         st.failovers_no_progress.clear();
         st.dead_paths.clear();
         st.sync_started.clear();
+    }
+
+    /// A go-back-N sender for one destination, counting its packets in
+    /// flight into the `mcp.gbn_inflight` telemetry level.
+    fn new_sender(&self, epoch: u16) -> EpochSender {
+        let mut sender = EpochSender::with_epoch(self.cfg.reliability.window, epoch);
+        sender.publish_in_flight(self.levels.gbn_inflight.clone());
+        sender
     }
 
     // ---------------- timers / retransmission ----------------

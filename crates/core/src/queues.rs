@@ -11,6 +11,8 @@
 //! event is charged by the MCP before an entry appears here.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
@@ -18,6 +20,15 @@ use suca_mem::PhysAddr;
 use suca_sim::{ActorCtx, Gauge, Signal, Sim};
 
 use crate::port::{RecvEvent, SendEvent};
+
+/// Completion-queue depths summed over the ports registered on one NIC —
+/// the firmware's `cq_recv` / `cq_send` telemetry levels. Every registered
+/// port's queues add their pushes and subtract their pops here.
+#[derive(Default)]
+pub(crate) struct CqLevels {
+    pub(crate) recv: AtomicU64,
+    pub(crate) send: AtomicU64,
+}
 
 /// Per-port completion queues, resident in the port owner's user memory.
 pub struct UserQueues {
@@ -34,6 +45,9 @@ pub struct UserQueues {
     pub send_signal: Signal,
     /// Notified when *any* event is posted (progress-engine wakeup).
     pub any_signal: Signal,
+    /// The NIC-wide depth sums these queues count into while registered.
+    nic_levels: OnceLock<Arc<CqLevels>>,
+    registered: AtomicBool,
 }
 
 impl UserQueues {
@@ -48,6 +62,44 @@ impl UserQueues {
             recv_signal: Signal::new(sim),
             send_signal: Signal::new(sim),
             any_signal: Signal::new(sim),
+            nic_levels: OnceLock::new(),
+            registered: AtomicBool::new(false),
+        }
+    }
+
+    /// NIC side, at port registration: count these queues' depths into
+    /// `levels` until [`Self::detach_levels`]. A port registers once.
+    pub(crate) fn attach_levels(&self, levels: Arc<CqLevels>) {
+        let levels = self.nic_levels.get_or_init(|| levels);
+        let (recv, send) = self.depths();
+        levels.recv.fetch_add(recv as u64, Ordering::Relaxed);
+        levels.send.fetch_add(send as u64, Ordering::Relaxed);
+        self.registered.store(true, Ordering::Relaxed);
+    }
+
+    /// NIC side, at port teardown: take these queues' depths back out.
+    pub(crate) fn detach_levels(&self) {
+        if !self.registered.swap(false, Ordering::Relaxed) {
+            return;
+        }
+        let (recv, send) = self.depths();
+        if let Some(levels) = self.nic_levels.get() {
+            levels.recv.fetch_sub(recv as u64, Ordering::Relaxed);
+            levels.send.fetch_sub(send as u64, Ordering::Relaxed);
+        }
+    }
+
+    /// Apply a depth change to the NIC-wide sums while registered.
+    fn publish(&self, queue: fn(&CqLevels) -> &AtomicU64, grew: bool) {
+        if !self.registered.load(Ordering::Relaxed) {
+            return;
+        }
+        if let Some(levels) = self.nic_levels.get() {
+            if grew {
+                queue(levels).fetch_add(1, Ordering::Relaxed);
+            } else {
+                queue(levels).fetch_sub(1, Ordering::Relaxed);
+            }
         }
     }
 
@@ -57,6 +109,7 @@ impl UserQueues {
             let mut q = self.recv.lock();
             q.push_back(ev);
             self.recv_depth.add(1);
+            self.publish(|l| &l.recv, true);
         }
         self.recv_signal.notify();
         self.any_signal.notify();
@@ -68,6 +121,7 @@ impl UserQueues {
             let mut q = self.send.lock();
             q.push_back(ev);
             self.send_depth.add(1);
+            self.publish(|l| &l.send, true);
         }
         self.send_signal.notify();
         self.any_signal.notify();
@@ -89,6 +143,7 @@ impl UserQueues {
         let ev = self.recv.lock().pop_front();
         if ev.is_some() {
             self.recv_depth.sub(1);
+            self.publish(|l| &l.recv, false);
         }
         ev
     }
@@ -98,6 +153,7 @@ impl UserQueues {
         let ev = self.send.lock().pop_front();
         if ev.is_some() {
             self.send_depth.sub(1);
+            self.publish(|l| &l.send, false);
         }
         ev
     }
@@ -122,7 +178,7 @@ impl UserQueues {
         }
     }
 
-    /// Events currently queued (recv, send) — for tests.
+    /// Events currently queued (recv, send).
     pub fn depths(&self) -> (usize, usize) {
         (self.recv.lock().len(), self.send.lock().len())
     }

@@ -14,6 +14,8 @@
 //! and the fabric.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use bytes::Bytes;
 
@@ -76,6 +78,9 @@ pub struct GbnSender {
     window: u32,
     /// Unacked packets in seq order: `(seq, encoded packet)`.
     inflight: VecDeque<(u32, Bytes)>,
+    /// Shared level this stream's in-flight count is added into (the
+    /// firmware's summed go-back-N telemetry probe), if published.
+    published: Option<Arc<AtomicU64>>,
 }
 
 impl GbnSender {
@@ -86,7 +91,25 @@ impl GbnSender {
             next_seq: 0,
             window,
             inflight: VecDeque::new(),
+            published: None,
         }
+    }
+
+    /// Keep this stream's in-flight count added into `level` from now on;
+    /// the count is taken back out when the stream is dropped or
+    /// unpublished. Several streams may share one level.
+    pub fn publish_in_flight(&mut self, level: Arc<AtomicU64>) {
+        self.unpublish();
+        level.fetch_add(self.inflight.len() as u64, Ordering::Relaxed);
+        self.published = Some(level);
+    }
+
+    /// Take this stream's count back out of its published level, returning
+    /// the level.
+    fn unpublish(&mut self) -> Option<Arc<AtomicU64>> {
+        let level = self.published.take()?;
+        level.fetch_sub(self.inflight.len() as u64, Ordering::Relaxed);
+        Some(level)
     }
 
     /// True if the window has room for another packet.
@@ -117,6 +140,9 @@ impl GbnSender {
         }
         self.inflight.push_back((seq, pkt));
         self.next_seq = self.next_seq.wrapping_add(1);
+        if let Some(level) = &self.published {
+            level.fetch_add(1, Ordering::Relaxed);
+        }
         Ok(())
     }
 
@@ -132,6 +158,9 @@ impl GbnSender {
                 break;
             }
         }
+        if let Some(level) = self.published.as_ref().filter(|_| freed > 0) {
+            level.fetch_sub(freed as u64, Ordering::Relaxed);
+        }
         freed
     }
 
@@ -144,6 +173,12 @@ impl GbnSender {
     /// Number of unacked packets.
     pub fn in_flight(&self) -> usize {
         self.inflight.len()
+    }
+}
+
+impl Drop for GbnSender {
+    fn drop(&mut self) {
+        self.unpublish();
     }
 }
 
@@ -298,7 +333,12 @@ impl EpochSender {
         let old_epoch = self.epoch;
         self.epoch = self.epoch.wrapping_add(1);
         let fresh = GbnSender::new(self.window);
-        let old = std::mem::replace(&mut self.gbn, fresh);
+        let mut old = std::mem::replace(&mut self.gbn, fresh);
+        // Only the live stream counts as in flight; the parked one waits
+        // for reconciliation.
+        if let Some(level) = old.unpublish() {
+            self.gbn.publish_in_flight(level);
+        }
         if self.pending.is_none() {
             self.pending = Some(old);
             self.parked_epoch = old_epoch;
@@ -336,6 +376,13 @@ impl EpochSender {
     /// Number of unacked packets on the live stream.
     pub fn in_flight(&self) -> usize {
         self.gbn.in_flight()
+    }
+
+    /// Keep the live stream's in-flight count added into `level`, across
+    /// resyncs, until this sender is dropped (see
+    /// [`GbnSender::publish_in_flight`]).
+    pub fn publish_in_flight(&mut self, level: Arc<AtomicU64>) {
+        self.gbn.publish_in_flight(level);
     }
 }
 
@@ -596,6 +643,41 @@ mod tests {
         assert!(!epoch_after(0, 1));
         assert!(!epoch_after(7, 7));
         assert!(epoch_after(0, u16::MAX), "wraps");
+    }
+
+    #[test]
+    fn published_level_sums_live_streams_across_resync_and_drop() {
+        let level = Arc::new(AtomicU64::new(0));
+        let get = || level.load(Ordering::Relaxed);
+        let mut a = EpochSender::new(8);
+        a.publish_in_flight(level.clone());
+        let mut b = EpochSender::new(8);
+        b.publish_in_flight(level.clone());
+        for i in 0..3 {
+            a.record_sent(a.next_seq(), pkt(i)).expect("in window");
+        }
+        for i in 0..2 {
+            b.record_sent(b.next_seq(), pkt(i)).expect("in window");
+        }
+        assert!(
+            b.record_sent(7, pkt(9)).is_err(),
+            "rejected sends do not count"
+        );
+        assert_eq!(get(), 5);
+        assert_eq!(a.on_ack(0, 2), Some(2));
+        assert_eq!(get(), 3);
+        // Resync parks b's stream: only live streams count.
+        let e = b.begin_resync();
+        assert_eq!(get(), 1);
+        let tail = b.on_sync_ack(e, 1).expect("matching epoch");
+        for p in tail {
+            b.record_sent(b.next_seq(), p).expect("fits");
+        }
+        assert_eq!(get(), 1 + b.in_flight() as u64);
+        drop(a);
+        assert_eq!(get(), b.in_flight() as u64);
+        drop(b);
+        assert_eq!(get(), 0);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! adds a propagation delay, and applies stochastic fault injection with a
 //! per-link deterministic RNG stream.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -25,9 +25,18 @@ struct LinkState {
     busy_until: SimTime,
     rng: SimRng,
     sent: u64,
-    sent_bytes: u64,
     dropped: u64,
     corrupted: u64,
+}
+
+/// What the link's telemetry probes report, published by [`Link::send`]
+/// as it changes so a sampling tick reads it without the link's lock.
+#[derive(Default)]
+struct LinkLevels {
+    /// When the wire frees up (virtual ns).
+    busy_until_ns: AtomicU64,
+    /// Wire bytes offered to the line, dropped ones included.
+    sent_bytes: AtomicU64,
 }
 
 /// One unidirectional link.
@@ -41,6 +50,7 @@ pub struct Link {
     /// (counted). Flipped by the chaos controller via [`Link::set_up`].
     up: AtomicBool,
     state: Mutex<LinkState>,
+    levels: Arc<LinkLevels>,
     // Typed metric handles, registered once at link creation; shared cells
     // across all links ("fabric.*" / "link.*" are fabric-wide totals).
     drops: Counter,
@@ -78,10 +88,10 @@ impl Link {
                 busy_until: SimTime::ZERO,
                 rng,
                 sent: 0,
-                sent_bytes: 0,
                 dropped: 0,
                 corrupted: 0,
             }),
+            levels: Arc::default(),
         });
         // Per-link telemetry probes. Bytes-in-flight is derived from the
         // serialization backlog (busy_until - now) at line rate; a switch
@@ -89,34 +99,33 @@ impl Link {
         // this cut-through model, so these three probes also cover per-port
         // switch occupancy.
         let ts = sim.timeseries();
-        let w = Arc::downgrade(&link);
+        let bytes_per_sec = link.bytes_per_sec;
+        let levels = link.levels.clone();
         ts.register(
             format!("link.{}.backlog_bytes", link.label),
             suca_sim::FABRIC_NODE,
             None,
             move |now_ns| {
-                w.upgrade().map_or(0, |l| {
-                    let ahead = l.state.lock().busy_until.as_ns().saturating_sub(now_ns);
-                    ahead * l.bytes_per_sec / 1_000_000_000
-                })
+                let ahead = levels
+                    .busy_until_ns
+                    .load(Ordering::Relaxed)
+                    .saturating_sub(now_ns);
+                ahead * bytes_per_sec / 1_000_000_000
             },
         );
-        let w = Arc::downgrade(&link);
+        let levels = link.levels.clone();
         ts.register(
             format!("link.{}.tx_bytes", link.label),
             suca_sim::FABRIC_NODE,
             None,
-            move |_| w.upgrade().map_or(0, |l| l.state.lock().sent_bytes),
+            move |_| levels.sent_bytes.load(Ordering::Relaxed),
         );
-        let w = Arc::downgrade(&link);
+        let levels = link.levels.clone();
         ts.register(
             format!("link.{}.busy", link.label),
             suca_sim::FABRIC_NODE,
             None,
-            move |now_ns| {
-                w.upgrade()
-                    .map_or(0, |l| u64::from(l.state.lock().busy_until.as_ns() > now_ns))
-            },
+            move |now_ns| u64::from(levels.busy_until_ns.load(Ordering::Relaxed) > now_ns),
         );
         link
     }
@@ -149,7 +158,12 @@ impl Link {
             let start = st.busy_until.max(sim.now());
             st.busy_until = start + tx;
             st.sent += 1;
-            st.sent_bytes += pkt.wire_len();
+            self.levels
+                .busy_until_ns
+                .store(st.busy_until.as_ns(), Ordering::Relaxed);
+            self.levels
+                .sent_bytes
+                .fetch_add(pkt.wire_len(), Ordering::Relaxed);
             if st.rng.chance(self.fault.drop_prob) {
                 st.dropped += 1;
                 self.drops.inc();

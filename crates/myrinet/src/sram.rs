@@ -6,6 +6,7 @@
 //! stages packets through SRAM buffers; this pool enforces the capacity so
 //! protocols experience back-pressure when staging outruns draining.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -13,16 +14,22 @@ use parking_lot::Mutex;
 use suca_sim::Gauge;
 
 struct PoolInner {
-    capacity: u64,
-    used: u64,
     high_water: u64,
     gauge: Option<Gauge>,
+}
+
+struct PoolShared {
+    capacity: u64,
+    /// Bytes leased. Written only under `state`'s lock; read without it,
+    /// so the NIC's `sram_used` telemetry probe never locks the pool.
+    used: AtomicU64,
+    state: Mutex<PoolInner>,
 }
 
 /// Byte-granular SRAM allocator. Clones share the pool.
 #[derive(Clone)]
 pub struct SramPool {
-    inner: Arc<Mutex<PoolInner>>,
+    inner: Arc<PoolShared>,
 }
 
 /// RAII lease on SRAM bytes; returned to the pool on drop.
@@ -36,12 +43,14 @@ impl SramPool {
     /// the MCP reserves most of it for staging buffers).
     pub fn new(capacity: u64) -> Self {
         SramPool {
-            inner: Arc::new(Mutex::new(PoolInner {
+            inner: Arc::new(PoolShared {
                 capacity,
-                used: 0,
-                high_water: 0,
-                gauge: None,
-            })),
+                used: AtomicU64::new(0),
+                state: Mutex::new(PoolInner {
+                    high_water: 0,
+                    gauge: None,
+                }),
+            }),
         }
     }
 
@@ -49,19 +58,20 @@ impl SramPool {
     /// registry gauge. The gauge cell may be shared cluster-wide, so the
     /// pool publishes add/sub deltas rather than absolute levels.
     pub fn attach_gauge(&self, gauge: Gauge) {
-        let mut st = self.inner.lock();
-        gauge.add(st.used);
+        let mut st = self.inner.state.lock();
+        gauge.add(self.used());
         st.gauge = Some(gauge);
     }
 
     /// Try to lease `len` bytes; `None` if the pool cannot satisfy it.
     pub fn try_alloc(&self, len: u64) -> Option<SramLease> {
-        let mut st = self.inner.lock();
-        if st.used + len > st.capacity {
+        let mut st = self.inner.state.lock();
+        let used = self.used() + len;
+        if used > self.inner.capacity {
             return None;
         }
-        st.used += len;
-        st.high_water = st.high_water.max(st.used);
+        self.inner.used.store(used, Ordering::Relaxed);
+        st.high_water = st.high_water.max(used);
         if let Some(g) = &st.gauge {
             g.add(len);
         }
@@ -73,17 +83,17 @@ impl SramPool {
 
     /// Bytes currently leased.
     pub fn used(&self) -> u64 {
-        self.inner.lock().used
+        self.inner.used.load(Ordering::Relaxed)
     }
 
     /// Largest simultaneous usage observed.
     pub fn high_water(&self) -> u64 {
-        self.inner.lock().high_water
+        self.inner.state.lock().high_water
     }
 
     /// Total capacity.
     pub fn capacity(&self) -> u64 {
-        self.inner.lock().capacity
+        self.inner.capacity
     }
 }
 
@@ -101,8 +111,8 @@ impl SramLease {
 
 impl Drop for SramLease {
     fn drop(&mut self) {
-        let mut st = self.pool.inner.lock();
-        st.used -= self.len;
+        let st = self.pool.inner.state.lock();
+        self.pool.inner.used.fetch_sub(self.len, Ordering::Relaxed);
         if let Some(g) = &st.gauge {
             g.sub(self.len);
         }

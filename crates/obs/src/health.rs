@@ -417,21 +417,15 @@ impl SloWindows {
         self.closed.push_back(done);
     }
 
-    /// Merge the last `ticks` closed buckets for `tenant`/`class` (`None`
-    /// = all): `(latency histogram, ok, err)`.
-    fn window(
+    /// Visit the last `ticks` closed buckets for `tenant`/`class` (`None`
+    /// = all).
+    fn for_each_bucket(
         &self,
         tenant: Option<u8>,
         class: Option<u8>,
         ticks: u32,
-    ) -> (HistogramSnapshot, u64, u64) {
-        let mut hist = HistogramSnapshot::empty();
-        let (mut ok, mut err) = (0u64, 0u64);
-        let mut fold = |b: &ClassBucket| {
-            hist.merge(&b.hist);
-            ok += b.ok;
-            err += b.err;
-        };
+        mut fold: impl FnMut(&ClassBucket),
+    ) {
         for tick in self.closed.iter().rev().take(ticks.max(1) as usize) {
             let tenants: &[[ClassBucket; 4]] = match tenant {
                 Some(t) => std::slice::from_ref(&tick[tenant_idx(t)]),
@@ -444,7 +438,35 @@ impl SloWindows {
                 }
             }
         }
+    }
+
+    /// Merge the last `ticks` closed buckets for `tenant`/`class` (`None`
+    /// = all): `(latency histogram, ok, err)`.
+    fn window(
+        &self,
+        tenant: Option<u8>,
+        class: Option<u8>,
+        ticks: u32,
+    ) -> (HistogramSnapshot, u64, u64) {
+        let mut hist = HistogramSnapshot::empty();
+        let (mut ok, mut err) = (0u64, 0u64);
+        self.for_each_bucket(tenant, class, ticks, |b| {
+            hist.merge(&b.hist);
+            ok += b.ok;
+            err += b.err;
+        });
         (hist, ok, err)
+    }
+
+    /// `(ok, err)` over the same buckets as [`Self::window`], without
+    /// merging latency histograms — all a burn-rate rule reads.
+    fn counts(&self, tenant: Option<u8>, class: Option<u8>, ticks: u32) -> (u64, u64) {
+        let (mut ok, mut err) = (0u64, 0u64);
+        self.for_each_bucket(tenant, class, ticks, |b| {
+            ok += b.ok;
+            err += b.err;
+        });
+        (ok, err)
     }
 }
 
@@ -641,7 +663,7 @@ impl HealthEngine {
                     min_events,
                 } => {
                     let breach = |ticks: u32| -> bool {
-                        let (_, ok, err) = st.windows.window(*tenant, *class, ticks);
+                        let (ok, err) = st.windows.counts(*tenant, *class, ticks);
                         let events = ok + err;
                         events >= (*min_events).max(1)
                             && (err as u128) * 1_000_000
@@ -1311,6 +1333,30 @@ mod tests {
         assert_eq!(alerts[1].rule, "watchdog.pegged");
         assert_eq!(m.get("health.alerts_fired"), 2);
         assert_eq!(h.active_count(), 2, "stall alerts never resolve");
+    }
+
+    #[test]
+    fn counts_walk_agrees_with_window_merge() {
+        let mut w = SloWindows::new(8);
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..12 {
+            for _ in 0..20 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let (t, c) = ((x % 5) as u8, ((x >> 8) % 6) as u8);
+                w.open[tenant_idx(t)][class_idx(c)].record(!x.is_multiple_of(3), x % 10_000, 16);
+            }
+            w.rotate();
+        }
+        for tenant in [None, Some(0), Some(2), Some(7)] {
+            for class in [None, Some(0), Some(3), Some(9)] {
+                for ticks in [0, 1, 3, 8, 20] {
+                    let (_, ok, err) = w.window(tenant, class, ticks);
+                    assert_eq!(w.counts(tenant, class, ticks), (ok, err));
+                }
+            }
+        }
     }
 
     #[test]

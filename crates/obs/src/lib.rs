@@ -209,6 +209,12 @@ impl Metrics {
     /// never touch the registry again.
     pub fn counter(&self, name: &str) -> Counter {
         let mut map = self.inner.counters.lock().expect("registry poisoned");
+        // Look up by `&str` first: the name is copied into an owned key only
+        // when the counter is new, so the name-based [`Self::add`] path
+        // never allocates for an existing counter.
+        if let Some(c) = map.get(name) {
+            return c.clone();
+        }
         map.entry(name.to_string())
             .or_insert_with(|| Counter(Arc::new(AtomicU64::new(0))))
             .clone()

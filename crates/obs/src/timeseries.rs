@@ -11,8 +11,14 @@
 //! * A driver (the simulator's telemetry tick — this crate sits below the
 //!   engine and never schedules anything itself) calls
 //!   [`TimeSeries::sample_all`] at a fixed virtual-time period; every probe
-//!   is read and the `(t_ns, value)` point lands in a bounded per-probe
-//!   ring.
+//!   is read at that tick.
+//! * Storage is tick-major and change-compressed: one shared ring holds the
+//!   timestamps of the last `ring_capacity` ticks, and each probe keeps only
+//!   its *runs* — `(tick, value)` pairs opened when the value changes. A
+//!   tick therefore costs one closure call per probe plus a write only for
+//!   probes whose value moved. Snapshots expand the runs back into exactly
+//!   the `(t_ns, value)` points a bounded per-probe ring of the same
+//!   capacity would hold, eviction counts included.
 //! * Snapshots serialize to deterministic JSON (probes sorted by name,
 //!   virtual timestamps only) so fixed seeds produce byte-identical files,
 //!   and feed Perfetto counter tracks
@@ -35,8 +41,8 @@ use crate::json_escape;
 /// JSON and grouped under a synthetic "fabric" process in Perfetto.
 pub const FABRIC_NODE: u32 = u32::MAX;
 
-/// Default bound on each probe's sample ring. At the default 10 µs sampling
-/// period this keeps ~41 ms of history per probe.
+/// Default retained window: the last this-many ticks. At the default 10 µs
+/// sampling period this keeps ~41 ms of history per probe.
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
 
 type SampleFn = Box<dyn Fn(u64) -> u64 + Send + Sync>;
@@ -46,23 +52,97 @@ struct Probe {
     node: u32,
     capacity: Option<u64>,
     sample: SampleFn,
-    ring: VecDeque<(u64, u64)>,
-    evicted: u64,
-    /// Consecutive samples at/above `capacity` (0 when capacity is None).
-    pegged_streak: u32,
+    /// Tick index of this probe's first sample (ticks taken before it
+    /// registered).
+    first: u64,
+    /// Latest sampled value; meaningful once `runs` is non-empty.
+    last: u64,
+    /// `(start tick, value)` runs, oldest first. A run lasts until the next
+    /// one starts, the newest until the latest tick. Runs ending before the
+    /// retained window are dropped, so at most `ring_capacity` are kept.
+    runs: VecDeque<(u64, u64)>,
+    /// Tick that opened the current at/above-capacity episode.
+    pegged_since: Option<u64>,
     /// The watchdog already reported this probe as pegged.
     pegged_flagged: bool,
+}
+
+impl Probe {
+    /// Open a run for a value that differs from the previous sample (or is
+    /// the first). `window_start` is the oldest tick still retained.
+    fn record(&mut self, tick: u64, v: u64, window_start: u64, ring_capacity: usize) {
+        // Drop runs that end before the window; the run after the newest
+        // one is the one being opened at `tick`.
+        while !self.runs.is_empty() {
+            let next_start = self.runs.get(1).map_or(tick, |r| r.0);
+            if next_start > window_start {
+                break;
+            }
+            self.runs.pop_front();
+        }
+        if self.runs.len() == self.runs.capacity() {
+            // Grow by doubling but never past the window, so a value that
+            // changes every tick costs no more than a full per-probe ring.
+            let grow = self.runs.len().max(2).min(ring_capacity - self.runs.len());
+            self.runs.reserve_exact(grow);
+        }
+        self.runs.push_back((tick, v));
+        self.last = v;
+        match self.capacity {
+            Some(cap) if cap > 0 && v >= cap => {
+                self.pegged_since.get_or_insert(tick);
+            }
+            _ => {
+                self.pegged_since = None;
+                self.pegged_flagged = false;
+            }
+        }
+    }
+
+    /// Consecutive samples at/above capacity as of `taken` ticks.
+    fn pegged_streak(&self, taken: u64) -> u32 {
+        self.pegged_since
+            .map_or(0, |since| (taken - since).min(u64::from(u32::MAX)) as u32)
+    }
+
+    /// Expand the runs into this probe's retained `(t_ns, value)` points;
+    /// `ticks[0]` is tick `taken - ticks.len()`.
+    fn points(&self, ticks: &VecDeque<u64>, taken: u64) -> Vec<(u64, u64)> {
+        let window_start = taken - ticks.len() as u64;
+        let from = self.first.max(window_start);
+        let mut out = Vec::with_capacity((taken - from) as usize);
+        let mut runs = self.runs.iter().peekable();
+        let mut value = 0;
+        for tick in from..taken {
+            while let Some(&&(start, v)) = runs.peek() {
+                if start > tick {
+                    break;
+                }
+                value = v;
+                runs.next();
+            }
+            out.push((ticks[(tick - window_start) as usize], value));
+        }
+        out
+    }
+
+    /// Points evicted from the window: samples taken before it.
+    fn evicted(&self, ticks: &VecDeque<u64>, taken: u64) -> u64 {
+        let window_start = taken - ticks.len() as u64;
+        self.first.max(window_start) - self.first
+    }
 }
 
 struct Inner {
     probes: Vec<Probe>,
     ring_capacity: usize,
+    /// Timestamps of the last `ring_capacity` ticks, oldest first.
+    ticks: VecDeque<u64>,
     samples_taken: u64,
-    last_sample_ns: u64,
 }
 
-/// The probe registry plus the bounded sample rings. One per simulation,
-/// held (like [`crate::Metrics`]) outside the engine lock.
+/// The probe registry plus the change-compressed sample store. One per
+/// simulation, held (like [`crate::Metrics`]) outside the engine lock.
 pub struct TimeSeries {
     inner: Mutex<Inner>,
 }
@@ -74,27 +154,32 @@ impl Default for TimeSeries {
 }
 
 impl TimeSeries {
-    /// Empty registry with [`DEFAULT_RING_CAPACITY`] samples per probe.
+    /// Empty registry retaining the last [`DEFAULT_RING_CAPACITY`] ticks.
     pub fn new() -> Self {
         Self::with_capacity(DEFAULT_RING_CAPACITY)
     }
 
-    /// Empty registry keeping the last `ring_capacity` samples per probe.
+    /// Empty registry retaining the last `ring_capacity` ticks per probe.
     pub fn with_capacity(ring_capacity: usize) -> Self {
         TimeSeries {
             inner: Mutex::new(Inner {
                 probes: Vec::new(),
                 ring_capacity: ring_capacity.max(1),
+                ticks: VecDeque::new(),
                 samples_taken: 0,
-                last_sample_ns: 0,
             }),
         }
     }
 
     /// Register a probe. `sample` is called with the current virtual time
-    /// in nanoseconds at every sampling tick and must be cheap and
-    /// side-effect-free. `capacity` (when known) declares the level at
-    /// which the resource is *full*, enabling pegged-at-capacity detection.
+    /// in nanoseconds at every sampling tick — about a thousand probes per
+    /// 10 µs tick on a 32-node cluster — so it must be a plain read: the
+    /// component publishes the level it reports into atomics (a small
+    /// `Arc` cell the closure owns) where that level changes, and the
+    /// closure loads them. It takes no lock, upgrades no `Weak`, and holds
+    /// no back-reference that would keep its component alive. `capacity`
+    /// (when known) declares the level at which the resource is *full*,
+    /// enabling pegged-at-capacity detection.
     ///
     /// Panics on a duplicate name: probe names are the JSON identity and
     /// must be unique per run.
@@ -111,15 +196,16 @@ impl TimeSeries {
             !inner.probes.iter().any(|p| p.name == name),
             "duplicate telemetry probe {name:?}"
         );
-        let cap = inner.ring_capacity;
+        let first = inner.samples_taken;
         inner.probes.push(Probe {
             name,
             node,
             capacity,
             sample: Box::new(sample),
-            ring: VecDeque::with_capacity(cap.min(1024)),
-            evicted: 0,
-            pegged_streak: 0,
+            first,
+            last: 0,
+            runs: VecDeque::new(),
+            pegged_since: None,
             pegged_flagged: false,
         });
     }
@@ -145,44 +231,43 @@ impl TimeSeries {
             .samples_taken
     }
 
-    /// Read every probe at virtual time `now_ns` and append the points to
-    /// the rings (evicting the oldest points when full). Called by the
-    /// simulator's telemetry tick; probes are visited in registration
-    /// order, which is deterministic under a fixed seed.
+    /// Read every probe at virtual time `now_ns` as one tick, sliding the
+    /// retained window. Called by the simulator's telemetry tick; probes
+    /// are visited in registration order, which is deterministic under a
+    /// fixed seed. Only probes whose value changed write anything.
     pub fn sample_all(&self, now_ns: u64) {
         let mut inner = self.inner.lock().expect("timeseries poisoned");
-        let ring_capacity = inner.ring_capacity;
-        inner.samples_taken += 1;
-        inner.last_sample_ns = now_ns;
-        for p in inner.probes.iter_mut() {
+        let Inner {
+            probes,
+            ring_capacity,
+            ticks,
+            samples_taken,
+        } = &mut *inner;
+        let tick = *samples_taken;
+        *samples_taken += 1;
+        if ticks.len() >= *ring_capacity {
+            ticks.pop_front();
+        }
+        ticks.push_back(now_ns);
+        let window_start = *samples_taken - ticks.len() as u64;
+        for p in probes.iter_mut() {
             let v = (p.sample)(now_ns);
-            if p.ring.len() >= ring_capacity {
-                p.ring.pop_front();
-                p.evicted += 1;
-            }
-            p.ring.push_back((now_ns, v));
-            match p.capacity {
-                Some(cap) if cap > 0 && v >= cap => {
-                    p.pegged_streak = p.pegged_streak.saturating_add(1)
-                }
-                _ => {
-                    p.pegged_streak = 0;
-                    p.pegged_flagged = false;
-                }
+            if v != p.last || p.runs.is_empty() {
+                p.record(tick, v, window_start, *ring_capacity);
             }
         }
     }
 
-    /// Visit every probe's most recent sample without copying any ring:
+    /// Visit every probe's most recent sample without copying any history:
     /// `f(name, node, capacity, latest_value)`, in registration order,
     /// skipping probes not yet sampled. The health engine's saturation
     /// rules read levels through this on every tick — [`Self::snapshot`]
-    /// would clone the full history each time.
+    /// would expand the full history each time.
     pub fn for_each_latest(&self, mut f: impl FnMut(&str, u32, Option<u64>, u64)) {
         let inner = self.inner.lock().expect("timeseries poisoned");
         for p in &inner.probes {
-            if let Some(&(_, v)) = p.ring.back() {
-                f(&p.name, p.node, p.capacity, v);
+            if !p.runs.is_empty() {
+                f(&p.name, p.node, p.capacity, p.last);
             }
         }
     }
@@ -194,19 +279,23 @@ impl TimeSeries {
     /// `(name, capacity, streak)` tuples.
     pub fn newly_pegged(&self, min_samples: u32) -> Vec<(String, u64, u32)> {
         let mut inner = self.inner.lock().expect("timeseries poisoned");
+        let taken = inner.samples_taken;
         let mut out = Vec::new();
         for p in inner.probes.iter_mut() {
-            if !p.pegged_flagged && p.capacity.is_some() && p.pegged_streak >= min_samples.max(1) {
+            let streak = p.pegged_streak(taken);
+            if !p.pegged_flagged && p.capacity.is_some() && streak >= min_samples.max(1) {
                 p.pegged_flagged = true;
-                out.push((p.name.clone(), p.capacity.unwrap_or(0), p.pegged_streak));
+                out.push((p.name.clone(), p.capacity.unwrap_or(0), streak));
             }
         }
         out
     }
 
-    /// Point-in-time copy of every probe's ring, sorted by probe name.
+    /// Point-in-time copy of every probe's retained window, sorted by probe
+    /// name.
     pub fn snapshot(&self) -> TimeSeriesSnapshot {
         let inner = self.inner.lock().expect("timeseries poisoned");
+        let taken = inner.samples_taken;
         let mut series: Vec<SeriesSnapshot> = inner
             .probes
             .iter()
@@ -214,13 +303,13 @@ impl TimeSeries {
                 name: p.name.clone(),
                 node: p.node,
                 capacity: p.capacity,
-                evicted: p.evicted,
-                points: p.ring.iter().copied().collect(),
+                evicted: p.evicted(&inner.ticks, taken),
+                points: p.points(&inner.ticks, taken),
             })
             .collect();
         series.sort_by(|a, b| a.name.cmp(&b.name));
         TimeSeriesSnapshot {
-            samples_taken: inner.samples_taken,
+            samples_taken: taken,
             series,
         }
     }
@@ -265,7 +354,7 @@ pub struct SeriesSnapshot {
     pub node: u32,
     /// Declared capacity, when the resource has one.
     pub capacity: Option<u64>,
-    /// Points evicted from the bounded ring before this snapshot.
+    /// Points evicted from the retained window before this snapshot.
     pub evicted: u64,
     /// `(t_ns, value)` samples, oldest first, strictly increasing in time.
     pub points: Vec<(u64, u64)>,
@@ -380,15 +469,15 @@ pub struct RollupSeries {
     /// declares one) — `sum` vs `capacity_sum` is the fleet-wide
     /// utilization.
     pub capacity_sum: Option<u64>,
-    /// Total ring evictions across members.
+    /// Total window evictions across members.
     pub evicted: u64,
     /// `(t_ns, probes_sampled, min, max, sum)` per tick, oldest first.
     /// `probes_sampled` can be < `members` when a probe registered
-    /// mid-run or its ring evicted older points.
+    /// mid-run or its window evicted older points.
     pub points: Vec<(u64, u64, u64, u64, u64)>,
 }
 
-/// Cluster-level timeseries rollup: output size is O(groups × ring length),
+/// Cluster-level timeseries rollup: output size is O(groups × window length),
 /// independent of node count.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RollupSnapshot {
@@ -539,6 +628,23 @@ mod tests {
         assert_eq!(q.points, vec![(7, 7), (8, 8), (9, 9)]);
         assert_eq!(q.evicted, 7);
         assert_eq!(s.samples_taken, 10);
+    }
+
+    #[test]
+    fn every_tick_changes_keep_at_most_a_window_of_runs() {
+        for cap in [1usize, 2, 3, 5, 8, 64] {
+            let ts = TimeSeries::with_capacity(cap);
+            ts.register("q", 0, None, |now| now);
+            ts.register("flat", 0, None, |_| 7);
+            for t in 0..3 * cap as u64 + 7 {
+                ts.sample_all(t);
+                let inner = ts.inner.lock().expect("timeseries poisoned");
+                let runs = &inner.probes[0].runs;
+                assert!(runs.len() <= cap, "cap {cap}: {} runs", runs.len());
+                assert!(runs.capacity() <= cap, "cap {cap}: {}", runs.capacity());
+                assert_eq!(inner.probes[1].runs.len(), 1, "a constant is one run");
+            }
+        }
     }
 
     #[test]

@@ -131,16 +131,19 @@ impl Watchdog {
         // send). A chain's newest event is no older than its SEND, so only
         // chains whose SEND is itself over budget can stall: find those
         // first (usually none) and aggregate just them, as (closed, newest
-        // end_ns).
+        // end_ns). Until the clock passes the budget no SEND can be over it,
+        // so the ring walk is skipped outright.
         let mut chains: BTreeMap<TraceId, (bool, u64)> = BTreeMap::new();
-        tracer.for_each_event(|ev| {
-            if !ev.trace.is_none()
-                && ev.stage.as_ref() == stage::SEND
-                && now_ns.saturating_sub(ev.end_ns) > self.cfg.chain_budget_ns
-            {
-                chains.insert(ev.trace, (false, 0));
-            }
-        });
+        if now_ns > self.cfg.chain_budget_ns {
+            tracer.for_each_event(|ev| {
+                if !ev.trace.is_none()
+                    && ev.stage.as_ref() == stage::SEND
+                    && now_ns.saturating_sub(ev.end_ns) > self.cfg.chain_budget_ns
+                {
+                    chains.insert(ev.trace, (false, 0));
+                }
+            });
+        }
         if !chains.is_empty() {
             tracer.for_each_event(|ev| {
                 if let Some(e) = chains.get_mut(&ev.trace) {
@@ -283,6 +286,45 @@ mod tests {
         assert_eq!(wd.stalls(), 1);
         assert_eq!(m.get("watchdog.stalls"), 1);
         assert!(tracer.has_dumped(), "flight recorder tripped");
+    }
+
+    #[test]
+    fn wedged_chain_flagged_only_once_the_clock_passes_the_budget() {
+        let m = Metrics::new();
+        let tracer = MsgTracer::new();
+        let ts = TimeSeries::new();
+        let budget = 1_000;
+        let wd = Watchdog::new(
+            WatchdogConfig {
+                chain_budget_ns: budget,
+                pegged_samples: 4,
+                check_every: 1,
+            },
+            &m,
+        );
+        // A SEND at t=0 whose chain never closes (its newest event is the
+        // SEND itself, so its age is exactly `now`).
+        tracer.record(TraceEvent::instant(
+            TraceId::new(1, 5),
+            1,
+            TraceLayer::Library,
+            stage::SEND,
+            0,
+        ));
+        assert!(
+            wd.check(budget, &tracer, &ts).is_empty(),
+            "age == budget is not over it"
+        );
+        let stalls = wd.check(budget + 1, &tracer, &ts);
+        assert_eq!(
+            stalls,
+            vec![Stall::Chain {
+                origin: 1,
+                msg_id: 5,
+                age_ns: budget + 1,
+            }]
+        );
+        assert_eq!(wd.stalls(), 1);
     }
 
     #[test]

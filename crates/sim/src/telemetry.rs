@@ -34,8 +34,8 @@ impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
             // 10 µs: fine enough to catch queue transients at the paper's
-            // 7 µs host overhead scale, coarse enough that a 100 ms run
-            // stays within the bounded rings.
+            // 7 µs host overhead scale, coarse enough that the retained
+            // 4096-tick window spans ~41 ms.
             sample_period: SimDuration::from_us(10),
             watchdog: WatchdogConfig::default(),
         }
